@@ -119,7 +119,13 @@ class ExecutionEngine:
                 self._run_pool([tasks[i] for i in miss_indices], miss_indices, outcomes)
             if self.cache is not None:
                 for index in miss_indices:
-                    self.cache.store(tasks[index], outcomes[index])
+                    try:
+                        self.cache.store(tasks[index], outcomes[index])
+                    except OSError:
+                        # A full disk or read-only cache dir must not fail
+                        # a run whose tasks all computed; the entry is
+                        # simply not written.
+                        pass
 
         # Re-announce telemetry in task order so enclosing collectors see
         # exactly what a plain serial run would have announced.

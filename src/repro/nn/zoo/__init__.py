@@ -54,10 +54,10 @@ def build_model(name: str, seed: int = 0) -> Model:
     """Build a zoo model by name.
 
     The freshly built model is fingerprinted here, once, at load time:
-    the params digest (sha256 over every weight array) is the expensive
-    part of every plan-cache key, and priming the memo now keeps it out
-    of the request path — a warm ``load_or_compile_plan`` must not hash
-    27 MB of GoogLeNet weights again just to look up its own key.
+    the params digest (sha256 over every weight array) is what the model
+    store records and the fleet's ``MODEL_QUERY`` handshake compares, and
+    priming the memo now keeps it out of the request path — a handshake
+    must not hash 27 MB of GoogLeNet weights just to answer a query.
     """
     try:
         builder = BUILDERS[name]

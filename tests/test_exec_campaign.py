@@ -5,6 +5,9 @@ worker processes or serving them from the result cache changes wall-clock
 only — the report markdown and the merged telemetry are byte-identical.
 """
 
+import errno
+import tempfile
+
 import pytest
 
 from repro.eval.campaign import build_campaign_tasks, run_campaign
@@ -70,6 +73,19 @@ class TestCacheDeterminism:
         cold, warm = cache_runs
         assert warm.section_wall_seconds == cold.section_wall_seconds
 
+    def test_store_failure_never_fails_the_run(
+        self, serial_result, tmp_path, monkeypatch
+    ):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", full_disk)
+        result = run_campaign(
+            quick=True, include_ablations=False, cache_dir=str(tmp_path)
+        )
+        assert result.report_markdown == serial_result.report_markdown
+        assert result.engine_stats.cache_hits == 0
+
     def test_no_cache_flag_recomputes(self, tmp_path):
         result = run_campaign(
             quick=True,
@@ -117,51 +133,32 @@ class TestTaskList:
 
 
 class TestNoOptimizeEndToEnd:
-    """``REPRO_NO_OPTIMIZE`` must reach forked pool workers: a --jobs 2
-    campaign with the env var set falls back to the reference layer walk
-    everywhere and reproduces the serial --no-optimize report byte for
-    byte (which itself is byte-identical to the optimized report — the
-    plan compiler's core invariant)."""
-
-    @pytest.fixture(scope="class")
-    def no_optimize_runs(self):
-        import os
-
-        from repro.nn import plan as plan_module
-
-        os.environ[plan_module.NO_OPTIMIZE_ENV] = "1"
-        try:
-            serial = run_campaign(quick=True, include_ablations=False, jobs=1)
-            parallel = run_campaign(
-                quick=True, include_ablations=False, jobs=2
-            )
-        finally:
-            os.environ.pop(plan_module.NO_OPTIMIZE_ENV, None)
-        return serial, parallel
-
-    def test_switch_disables_plans_in_this_process(self):
-        import os
-
-        from repro.nn import plan as plan_module
-
-        os.environ[plan_module.NO_OPTIMIZE_ENV] = "1"
-        try:
-            assert not plan_module.optimization_enabled()
-        finally:
-            os.environ.pop(plan_module.NO_OPTIMIZE_ENV, None)
-
-    def test_parallel_report_matches_serial_no_optimize(self, no_optimize_runs):
-        serial, parallel = no_optimize_runs
-        assert parallel.report_markdown == serial.report_markdown
+    """Compiled plans are invisible in every report: runs that walk the
+    layers (:meth:`Network.reference_forward`) instead of executing plans
+    render byte-identical output — the plan compiler's core invariant."""
 
     def test_report_byte_identical_to_optimized(
-        self, serial_result, no_optimize_runs
+        self, serial_result, reference_walk
     ):
-        serial_no_opt, _ = no_optimize_runs
-        assert serial_no_opt.report_markdown == serial_result.report_markdown
+        with reference_walk():
+            walked = run_campaign(quick=True, include_ablations=False, jobs=1)
+        assert walked.report_markdown == serial_result.report_markdown
 
-    def test_merged_metrics_identical(self, serial_result, no_optimize_runs):
-        _, parallel = no_optimize_runs
-        assert to_prometheus_text(parallel.metrics) == to_prometheus_text(
-            serial_result.metrics
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig7", "--models", "googlenet"],
+            # the first 8 googlenet offload points include splits inside
+            # the inception branch-and-join stages
+            ["fig8", "--models", "googlenet", "--max-points", "8"],
+        ],
+        ids=["fig7", "fig8"],
+    )
+    def test_figure_byte_identical_to_walk(self, argv, reference_walk, capsys):
+        from repro.cli import main
+
+        assert main(argv) == 0
+        planned = capsys.readouterr().out
+        with reference_walk():
+            assert main(argv) == 0
+        assert capsys.readouterr().out == planned

@@ -199,6 +199,18 @@ class TestResultCache:
         )
         assert stats["bytes"] == entry.stat().st_size
 
+    def test_purge_skips_inflight_tmp_files(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        task = probe_task()
+        cache.store(task, execute_task(task))
+        shard = next(p for p in tmp_path.iterdir() if p.is_dir())
+        inflight = shard / ".tmp-x.pkl"
+        inflight.write_bytes(b"a concurrent writer's entry")
+        entries = cache.stats()["entries"]
+        assert cache.purge() == entries == 1
+        assert inflight.exists()
+        assert cache.stats()["entries"] == 0
+
     def test_stats_tolerates_concurrently_unlinked_entries(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         task = probe_task()

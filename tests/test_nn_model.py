@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn.model import Model, network_from_description
+from repro.nn import model as model_module
+from repro.nn.model import Model, network_from_description, network_params_digest
 from repro.nn.modelstore import ModelStore, ModelStoreError
-from repro.nn.zoo import smallnet, tinynet
+from repro.nn.zoo import build_model, smallnet, tinynet
 from repro.sim import SeededRng
 
 
@@ -233,3 +234,59 @@ class TestModelStore:
         store.attach_model(rear.model_id, rear)
         assert store.has_complete(rear.model_id)
         assert not store.has_complete(front.model_id)
+
+
+class TestFingerprint:
+    """The params digest: stable per content, memoized, primed at load."""
+
+    def test_stable_for_identical_builds(self):
+        assert smallnet().fingerprint() == smallnet().fingerprint()
+
+    def test_split_halves_get_distinct_fingerprints(self, model):
+        front, rear = model.split(2)
+        assert front.fingerprint() != rear.fingerprint()
+
+    def test_params_digest_memoized_per_network(self):
+        network = smallnet().network
+        first = network_params_digest(network)
+        assert network_params_digest(network) == first
+        assert network._params_digest_memo[1] == first
+
+    def test_build_model_primes_params_digest(self):
+        model = build_model("smallnet")
+        memo = getattr(model.network, "_params_digest_memo", None)
+        assert memo is not None
+        assert model.fingerprint() == memo[1]
+        assert model.fingerprint() == network_params_digest(model.network)
+
+    def test_store_attach_primes_fingerprint(self):
+        model = build_model("smallnet")
+        store = ModelStore()
+        store.begin_upload(model.model_id, model.files())
+        for file in model.files():
+            store.receive_file(model.model_id, file)
+        store.attach_model(model.model_id, model)
+        assert store.fingerprint_of(model.model_id) == model.fingerprint()
+        assert store.matches_fingerprint(model.model_id, model.fingerprint())
+        assert not store.matches_fingerprint(model.model_id, "bogus")
+
+    def test_repeat_call_recomputes_no_array_digests(self, monkeypatch):
+        model = build_model("smallnet")
+        calls = []
+        real_digest = model_module._array_digest
+
+        def counting_digest(array):
+            calls.append(array.shape)
+            return real_digest(array)
+
+        monkeypatch.setattr(model_module, "_array_digest", counting_digest)
+        model.fingerprint()
+        assert calls == []
+
+    def test_param_rebinding_still_invalidates_fingerprint(self):
+        model = build_model("smallnet")
+        before = model.fingerprint()
+        layer = next(l for l in model.network.layers if l.params)
+        key = next(iter(layer.params))
+        layer.params[key] = layer.params[key] * 2.0
+        assert model.fingerprint() != before

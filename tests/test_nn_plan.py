@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import plan as plan_module
 from repro.nn.cost import network_costs, plan_costs
 from repro.nn.network import Network
-from repro.nn.plan import compile_plan, optimization_enabled, set_optimization
+from repro.nn.plan import compile_plan
 from repro.nn.zoo import build_model, smallnet
 from repro.nn.zoo.resnetlike import resnet_mini_bn
 from repro.sim import SeededRng
@@ -28,16 +27,6 @@ def model_input(model, seed=7):
     )
 
 
-def reference_forward(network, x):
-    return network.forward(x, optimize=False)
-
-
-@pytest.fixture(autouse=True)
-def restore_switch():
-    yield
-    set_optimization(None)
-
-
 @pytest.fixture(scope="module")
 def small():
     return smallnet()
@@ -51,14 +40,14 @@ class TestEquivalence:
     def test_plan_matches_reference_bitwise(self, name):
         model = build_model(name)
         x = model_input(model)
-        expected = reference_forward(model.network, x)
+        expected = model.network.reference_forward(x)
         got = model.network.plan_for().forward(x)
         assert np.array_equal(got, expected)
 
     def test_batchnorm_fold_within_tolerance(self):
         model = resnet_mini_bn()
         x = model_input(model)
-        expected = reference_forward(model.network, x)
+        expected = model.network.reference_forward(x)
         plan = model.network.plan_for()
         assert plan.stats.folded > 0
         np.testing.assert_allclose(plan.forward(x), expected, **FOLD_TOLERANCE)
@@ -66,7 +55,7 @@ class TestEquivalence:
     def test_every_offload_point_composes(self, small):
         net = small.network
         x = model_input(small)
-        expected = reference_forward(net, x)
+        expected = net.reference_forward(x)
         last = len(net.layers) - 1
         for point in net.offload_points():
             front = compile_plan(net, 0, point.index)
@@ -77,10 +66,8 @@ class TestEquivalence:
         net = small.network
         x = model_input(small)
         point = net.offload_points()[2]
-        feature = net.forward_range(x, 0, point.index, optimize=False)
-        assert np.array_equal(
-            net.forward_range(x, 0, point.index, optimize=True), feature
-        )
+        feature = net.reference_forward(x, 0, point.index)
+        assert np.array_equal(net.forward_range(x, 0, point.index), feature)
 
 
 # -- split isolation ------------------------------------------------------------
@@ -130,7 +117,7 @@ class TestArenaSafety:
         model = build_model(name)
         x = model_input(model)
         value, trace = model.network.plan_for().forward_traced(x)
-        assert np.array_equal(value, reference_forward(model.network, x))
+        assert np.array_equal(value, model.network.reference_forward(x))
         offenders = [
             record["step"] for record in trace if record["output_aliases_input"]
         ]
@@ -152,7 +139,7 @@ class TestBatchedForward:
     def test_batch_matches_looped(self, name):
         model = build_model(name)
         xs = [model_input(model, seed) for seed in range(4)]
-        looped = np.stack([reference_forward(model.network, x) for x in xs])
+        looped = np.stack([model.network.reference_forward(x) for x in xs])
         batched = model.inference_batch(xs)
         assert batched.shape == looped.shape
         np.testing.assert_allclose(batched, looped, **BATCH_TOLERANCE)
@@ -162,21 +149,14 @@ class TestBatchedForward:
         batched = small.network.forward_batch(x)
         assert batched.shape[0] == 1
         np.testing.assert_allclose(
-            batched[0], reference_forward(small.network, x), **BATCH_TOLERANCE
-        )
-
-    def test_reference_batch_path_is_exact(self, small):
-        xs = [model_input(small, seed) for seed in range(3)]
-        looped = np.stack([reference_forward(small.network, x) for x in xs])
-        assert np.array_equal(
-            small.network.forward_batch(xs, optimize=False), looped
+            batched[0], small.network.reference_forward(x), **BATCH_TOLERANCE
         )
 
 
-# -- plan cache and invalidation ------------------------------------------------
+# -- plan memo and invalidation -------------------------------------------------
 
 
-class TestPlanCache:
+class TestPlanMemo:
     def test_plan_for_caches_per_range(self, small):
         net = small.network
         assert net.plan_for() is net.plan_for()
@@ -193,31 +173,7 @@ class TestPlanCache:
         assert not stale.is_valid()
         fresh = net.plan_for()
         assert fresh is not stale
-        assert np.array_equal(fresh.forward(x), reference_forward(net, x))
-
-
-# -- the optimization switch ----------------------------------------------------
-
-
-class TestSwitch:
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(plan_module.NO_OPTIMIZE_ENV, "1")
-        assert not optimization_enabled()
-        set_optimization(True)
-        assert optimization_enabled()
-        set_optimization(None)
-        assert not optimization_enabled()
-
-    def test_network_forward_honours_switch(self, small):
-        x = model_input(small)
-        plan = small.network.plan_for()
-        set_optimization(False)
-        before = plan.forwards
-        small.network.forward(x)
-        assert plan.forwards == before
-        set_optimization(True)
-        small.network.forward(x)
-        assert plan.forwards == before + 1
+        assert np.array_equal(fresh.forward(x), net.reference_forward(x))
 
 
 # -- cost integration -----------------------------------------------------------
@@ -273,7 +229,7 @@ class TestServerBatch:
         assert len(outputs) == 3
         for x, out in zip(xs, outputs):
             np.testing.assert_allclose(
-                out, reference_forward(small.network, x), **BATCH_TOLERANCE
+                out, small.network.reference_forward(x), **BATCH_TOLERANCE
             )
         assert server.batch_partial_inference(small.model_id, []) == []
 
@@ -384,7 +340,7 @@ class TestDagLowering:
             value = layer.forward(value)
             expected_layers.append(value)
         for point in net.offload_points():
-            front = net.forward_range(x, 0, point.index, optimize=True)
+            front = net.forward_range(x, 0, point.index)
             assert np.array_equal(front, expected_layers[point.index])
-            rear = net.forward_range(front, point.index + 1, last, optimize=True)
+            rear = net.forward_range(front, point.index + 1, last)
             assert np.array_equal(rear, expected_layers[last])
