@@ -540,14 +540,15 @@ class EdgeServer:
         """Run the real handlers for one dispatched batch.
 
         Real batches (>= 2 items, one shared model id by queue construction)
-        go through :meth:`batch_partial_inference` — one stacked layer walk
-        — and each item's handler reads its row back through a
-        :class:`_BatchRowProxy`.  Batches of one take the untouched
-        per-item path, which keeps single-item serving bitwise-identical to
-        sequential serving (even an n=1 batched forward is only
-        almost-equal).  Handler exceptions are stored per item for the
-        protocol loop to classify; one bad request never poisons its
-        batchmates.
+        go through :meth:`batch_partial_inference` — one stacked plan
+        forward — and each item's handler reads its row back through a
+        :class:`_BatchRowProxy`.  Batches of one take the per-item path.
+        The numbers would not change (a one-row batched forward is bitwise
+        a single forward); the gate is about metric semantics:
+        ``server_batch_forwards_total`` and ``server_batch_size`` count
+        batches of two or more (docs/OBSERVABILITY.md).  Handler
+        exceptions are stored per item for the protocol loop to classify;
+        one bad request never poisons its batchmates.
         """
         rows = None
         if len(batch) > 1:

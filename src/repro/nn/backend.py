@@ -146,7 +146,7 @@ class KernelBackend:
     def gemm(
         self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """``a @ b`` (2-D x 1-D/2-D/broadcast 3-D), optionally into ``out``."""
+        """``a @ b`` (2-D x 1-D/2-D/stacked 3-D), optionally into ``out``."""
         self._count("gemm")
         if out is not None:
             np.matmul(a, b, out=out)
@@ -206,33 +206,22 @@ class KernelBackend:
         count = finite.sum(axis=(1, 2))
         return total / np.maximum(count, 1)
 
-    def max_pool_batch(self, layer, xs: np.ndarray) -> np.ndarray:
+    def max_pool_batch(self, layer, xs: np.ndarray, out=None) -> np.ndarray:
+        """Max pooling of an ``(N, C, H, W)`` batch as ``(N·C, H, W)``."""
         self._count("pool")
-        count = xs.shape[0]
         folded = xs.reshape((-1,) + xs.shape[2:])
-        pooled = max_pool_strided(folded, layer.kernel, layer.stride, layer.pad)
-        return pooled.reshape((count,) + layer.out_shape)
+        pooled = max_pool_strided(
+            folded, layer.kernel, layer.stride, layer.pad, out=out
+        )
+        return pooled.reshape((xs.shape[0],) + layer.out_shape)
 
     # -- LRN -------------------------------------------------------------------
-    def lrn(self, layer, x: np.ndarray) -> np.ndarray:
-        """Across-channel LRN, one sample (reference: float64 prefix sums)."""
-        self._count("lrn")
-        channels = x.shape[0]
-        half = layer.local_size // 2
-        squared = x.astype(np.float64) ** 2
-        prefix = np.concatenate(
-            [np.zeros((1,) + x.shape[1:]), np.cumsum(squared, axis=0)], axis=0
-        )
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        window_sums = prefix[hi] - prefix[lo]
-        scale = (
-            layer.k + (layer.alpha / layer.local_size) * window_sums
-        ) ** layer.beta
-        return (x / scale).astype(np.float32)
+    def lrn(self, layer, xs: np.ndarray) -> np.ndarray:
+        """Across-channel LRN over an ``(N, C, H, W)`` batch.
 
-    def lrn_batch(self, layer, xs: np.ndarray) -> np.ndarray:
-        """LRN across a batch: the per-sample math applied along axis 1."""
+        Reference: float64 prefix sums along the channel axis, so every
+        sample sees the one-sample accumulation order.
+        """
         self._count("lrn")
         channels = xs.shape[1]
         half = layer.local_size // 2
@@ -273,17 +262,18 @@ class KernelBackend:
         return out
 
     # -- quantized GEMM --------------------------------------------------------
-    def quantized_gemm(self, qmatrix, x: np.ndarray, out=None) -> np.ndarray:
-        """``dequantize(qmatrix) @ x`` without materializing per call.
+    def quantized_gemm(self, qmatrix, xs: np.ndarray, out=None) -> np.ndarray:
+        """``dequantize(qmatrix) @ xs[n]`` for every sample of an
+        ``(N, K, P)`` batch of columns, without materializing per call.
 
         The reference path multiplies against the lazily cached float32
         dequantized matrix (BLAS-fast, deterministic); backends with
-        ``supports_int_gemm`` may instead quantize ``x`` and accumulate
-        integer products, never touching float weights (see
+        ``supports_int_gemm`` may instead quantize each sample and
+        accumulate integer products, never touching float weights (see
         :class:`TunedBackend`).
         """
         self._count("quantized_gemm")
-        return self.gemm(qmatrix.dequantized(), x, out=out)
+        return self.gemm(qmatrix.dequantized(), xs, out=out)
 
 
 class TunedBackend(KernelBackend):
@@ -331,9 +321,9 @@ class TunedBackend(KernelBackend):
         if (
             self.threads > 1
             and a.ndim == 2
-            and b.ndim == 2
+            and b.ndim in (2, 3)
             and a.shape[0] >= 2 * self.GEMM_BLOCK_ROWS
-            and a.shape[0] * b.shape[1] >= self.GEMM_THREAD_MIN_ELEMENTS
+            and a.shape[0] * b.shape[-1] >= self.GEMM_THREAD_MIN_ELEMENTS
         ):
             return self._threaded_gemm(a, b, out)
         return super().gemm(a, b, out=out)
@@ -341,23 +331,32 @@ class TunedBackend(KernelBackend):
     def _threaded_gemm(self, a, b, out):
         """Row-blocked ``a @ b`` across the thread pool.
 
-        Each task multiplies a contiguous row block of ``a`` straight into
-        its slice of ``out`` — the split is over independent output rows,
-        so there is no reduction step and no inter-thread scratch beyond
-        the output itself (BLAS may still reorder accumulation within a
-        row, which is why ``tuned`` is tolerance-locked, not bitwise).
+        Each task multiplies a contiguous row block of ``a`` by one
+        sample's 2-D ``b`` (a stacked 3-D ``b`` is split per sample)
+        straight into its slice of ``out`` — the split is over independent
+        output rows, so there is no reduction step and no inter-thread
+        scratch beyond the output itself (BLAS may still reorder
+        accumulation within a row, which is why ``tuned`` is
+        tolerance-locked, not bitwise).
         """
         self._count("gemm")
         self._count("gemm_threaded")
         if out is None:
             # Fresh, not scratch: plan values can outlive the call, and a
             # shared buffer would be clobbered by the next same-shape GEMM.
-            out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
+            out = np.empty(
+                b.shape[:-2] + (a.shape[0], b.shape[-1]), dtype=np.float32
+            )
+        pairs = zip(b, out) if b.ndim == 3 else [(b, out)]
         pool = self._gemm_pool()
         rows = a.shape[0]
         block = max(self.GEMM_BLOCK_ROWS, -(-rows // self.threads))
         futures = [
-            pool.submit(np.matmul, a[lo : lo + block], b, out=out[lo : lo + block])
+            pool.submit(
+                np.matmul, a[lo : lo + block], sample,
+                out=target[lo : lo + block],
+            )
+            for sample, target in pairs
             for lo in range(0, rows, block)
         ]
         for future in futures:
@@ -383,38 +382,20 @@ class TunedBackend(KernelBackend):
         return total / count
 
     # -- LRN -------------------------------------------------------------------
-    def lrn(self, layer, x: np.ndarray) -> np.ndarray:
-        self._count("lrn")
-        channels = x.shape[0]
-        half = layer.local_size // 2
-        squared = self.scratch("lrn_sq", x.shape)
-        np.multiply(x, x, out=squared)
-        prefix = self.scratch("lrn_prefix", (channels + 1,) + x.shape[1:])
-        prefix[0] = 0.0
-        np.cumsum(squared, axis=0, out=prefix[1:])
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        scale = prefix[hi] - prefix[lo]  # fresh array: fancy indexing copies
-        scale *= np.float32(layer.alpha / layer.local_size)
-        scale += np.float32(layer.k)
-        np.power(scale, np.float32(layer.beta), out=scale)
-        np.divide(x, scale, out=scale)
-        return scale
-
-    def lrn_batch(self, layer, xs: np.ndarray) -> np.ndarray:
+    def lrn(self, layer, xs: np.ndarray) -> np.ndarray:
         self._count("lrn")
         channels = xs.shape[1]
         half = layer.local_size // 2
-        squared = self.scratch("lrn_sq_b", xs.shape)
+        squared = self.scratch("lrn_sq", xs.shape)
         np.multiply(xs, xs, out=squared)
         prefix = self.scratch(
-            "lrn_prefix_b", (xs.shape[0], channels + 1) + xs.shape[2:]
+            "lrn_prefix", (xs.shape[0], channels + 1) + xs.shape[2:]
         )
         prefix[:, 0] = 0.0
         np.cumsum(squared, axis=1, out=prefix[:, 1:])
         lo = np.clip(np.arange(channels) - half, 0, channels)
         hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        scale = prefix[:, hi] - prefix[:, lo]
+        scale = prefix[:, hi] - prefix[:, lo]  # fresh: fancy indexing copies
         scale *= np.float32(layer.alpha / layer.local_size)
         scale += np.float32(layer.k)
         np.power(scale, np.float32(layer.beta), out=scale)
@@ -422,23 +403,35 @@ class TunedBackend(KernelBackend):
         return scale
 
     # -- quantized GEMM --------------------------------------------------------
-    def quantized_gemm(self, qmatrix, x, out=None):
-        columns = int(x.shape[-1]) if x.ndim > 1 else 1
+    def quantized_gemm(self, qmatrix, xs, out=None):
+        """Integer GEMM per sample where it fits, else the float fallback.
+
+        Each sample is quantized on its own and checked against
+        :attr:`INT_GEMM_LIMIT` on its own, so a sample's result never
+        depends on its batchmates — a batch of one is bitwise a single
+        forward, and a batch of N is N of them.
+        """
         if (
-            x.ndim <= 2
-            and qmatrix.bits <= 8  # int32 accumulator headroom
-            and qmatrix.codes.size * columns <= self.INT_GEMM_LIMIT
+            qmatrix.bits > 8  # int32 accumulator headroom
+            or qmatrix.codes.size * xs.shape[-1] > self.INT_GEMM_LIMIT
         ):
-            return self._int_quantized_gemm(qmatrix, x, out)
-        return super().quantized_gemm(qmatrix, x, out=out)
+            return super().quantized_gemm(qmatrix, xs, out=out)
+        self._count("quantized_gemm")
+        if out is None:
+            out = np.empty(
+                (xs.shape[0], qmatrix.shape[0], xs.shape[-1]), dtype=np.float32
+            )
+        for sample, target in zip(xs, out):
+            self._int_quantized_gemm(qmatrix, sample, target)
+        return out
 
     def _int_quantized_gemm(self, qmatrix, x, out):
-        """Dequant-free integer GEMM.
+        """Dequant-free integer GEMM of one ``(K, P)`` sample into ``out``.
 
         With ``W = s·Q + z`` (affine weight codes; ``s``/``z`` a scalar
         for per-tensor weights or a per-row vector for per-channel
         weights) and ``x = s_x·Qx + z_x`` (activations quantized on the
-        fly, always per-tensor):
+        fly, per-tensor over the sample):
 
         ``W@x = s·s_x·(Q@Qx) + s·z_x·rowsum(Q) + z·s_x·colsum(Qx)
         + z·z_x·K``
@@ -449,7 +442,6 @@ class TunedBackend(KernelBackend):
         Per-channel ``s``/``z`` ride the row axis, so every correction
         term broadcasts as a column vector.
         """
-        self._count("quantized_gemm")
         self._count("quantized_gemm_int")
         from repro.nn.quantize import quantize_linear
 
@@ -461,24 +453,13 @@ class TunedBackend(KernelBackend):
         z = np.atleast_1d(np.asarray(qmatrix.zero_point, dtype=np.float32))
         s_x, z_x = np.float32(qx.scale), np.float32(qx.zero_point)
         depth = np.float32(qmatrix.shape[-1])
-        result = acc.astype(np.float32)
-        row_term = (s * z_x) * qmatrix.row_sums()
         col_sums = codes_x.sum(axis=0, dtype=np.int64).astype(np.float32)
-        const_term = z * (z_x * depth)
-        if x.ndim > 1:
-            result *= (s * s_x)[:, None]
-            result += row_term[:, None]
-            result += z[:, None] * (s_x * col_sums)[None, :]
-            result += const_term[:, None]
-        else:
-            result *= s * s_x
-            result += row_term
-            result += z * (s_x * col_sums)
-            result += const_term
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
+        np.copyto(out, acc)
+        out *= (s * s_x)[:, None]
+        out += ((s * z_x) * qmatrix.row_sums())[:, None]
+        out += z[:, None] * (s_x * col_sums)[None, :]
+        out += (z * (z_x * depth))[:, None]
+        return out
 
 
 _REGISTRY = {

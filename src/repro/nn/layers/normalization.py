@@ -40,7 +40,7 @@ class LRNLayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.check_input(x)
-        return active_backend().lrn(self, x)
+        return active_backend().lrn(self, x[None])[0]
 
     def count_flops(self) -> float:
         # square, windowed sum, scale, divide — roughly 4 ops/element plus

@@ -47,9 +47,12 @@ rewrite ever looks past ``end``, so a ``SplitNetwork``'s front and rear
 plans are independent and fusion never crosses the split — even when the
 range boundary falls between branch-and-join stages.
 
-``plan.forward_batch(xs)`` runs N inputs through one stacked
-im2col/broadcast-matmul per step — the edge server uses it to batch
-concurrent partial-inference sessions.
+Steps are batch-major: every value carries a leading sample axis and
+each step has one ``run``.  ``plan.forward(x)`` is the schedule run on a
+batch of one; ``plan.forward_batch(xs)`` runs the same schedule on N
+inputs — one stacked im2col and GEMM per step, which the edge server uses
+to batch concurrent partial-inference sessions.  Arena slots keep their
+per-sample capacity and are sized to N times it.
 
 Every hot kernel a step executes — im2col, GEMM, pooling, activation,
 LRN, the joins — goes through a :class:`~repro.nn.backend.KernelBackend`
@@ -89,7 +92,6 @@ from repro.nn.layers.exits import ExitHead
 from repro.nn.layers.io import InputLayer
 from repro.nn.layers.normalization import LRNLayer
 from repro.nn.layers.pool import PoolLayer
-from repro.nn.tensor import im2col, im2col_batch, max_pool_strided
 
 
 class PlanGraphError(RuntimeError):
@@ -116,10 +118,12 @@ class PlanStats:
 class PlanStep:
     """One compiled DAG node: reads its input values, produces one value.
 
+    Steps are batch-major: every value carries a leading sample axis, and
+    a single-sample forward is a batch of one through the same code.
     ``inputs`` lists the value ids this step reads (value 0 is the plan's
     input; step ``i`` in schedule order defines value ``i + 1``).
-    ``arena`` steps receive a preallocated output view (never aliasing any
-    live value); non-arena steps allocate like the reference path.
+    ``arena`` steps receive a preallocated ``(N,) + out_shape`` output view
+    (never aliasing any live value); non-arena steps allocate.
     ``layers`` lists ``(spine_index, layer, counted)`` triples covering the
     source layers — ``counted`` is False for layers whose arithmetic was
     folded away, which is what :func:`plan_costs` prices.
@@ -146,7 +150,6 @@ class PlanStep:
         self.output = -1
         #: arena slot index (interval coloring), None for non-arena steps
         self.slot: Optional[int] = None
-        self._out_view: Optional[np.ndarray] = None
         #: kernel backend, bound by the owning plan before any run()
         self.backend: KernelBackend = get_backend("reference")
 
@@ -159,15 +162,16 @@ class PlanStep:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, out={self.out_shape})"
 
 
 class ConvStep(PlanStep):
-    """im2col + matmul with pre-folded operands and optional fused ReLU."""
+    """im2col + matmul with pre-folded operands and optional fused ReLU.
+
+    One batched im2col per filter group feeds one stacked GEMM
+    (``matrix @ cols[n]`` for every sample ``n``) straight into the arena.
+    """
 
     kind = "conv"
     arena = True
@@ -177,7 +181,7 @@ class ConvStep(PlanStep):
         name: str,
         layers: Sequence[Tuple[int, Layer, bool]],
         layer: ConvLayer,
-        operands: Sequence[Tuple[np.ndarray, np.ndarray]],
+        operands: Sequence[Tuple[object, np.ndarray]],
         relu: bool,
     ):
         super().__init__(name, layers, layer.out_shape)
@@ -185,70 +189,33 @@ class ConvStep(PlanStep):
         self.operands = list(operands)
         self.relu = relu
 
+    def _gemm(self, matrix, cols: np.ndarray, out: np.ndarray) -> None:
+        self.backend.gemm(matrix, cols, out=out)
+
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        (x,) = inputs
-        layer = self.layer
-        backend = self.backend
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        out2d = out.reshape(filters, positions)
-        if layer.groups == 1:
-            matrix, bias = self.operands[0]
-            buffer = layer._cols_buffer(x.shape[0], out_h, out_w)
-            cols = backend.im2col(
-                x, layer.kernel, layer.stride, layer.pad, out=buffer
-            )
-            backend.gemm(matrix, cols, out=out2d)
-            out2d += bias
-        else:
-            per_in = x.shape[0] // layer.groups
-            per_out = filters // layer.groups
-            buffer = layer._cols_buffer(per_in, out_h, out_w)
-            for group, (matrix, bias) in enumerate(self.operands):
-                x_slice = x[group * per_in : (group + 1) * per_in]
-                cols = backend.im2col(
-                    x_slice, layer.kernel, layer.stride, layer.pad, out=buffer
-                )
-                target = out2d[group * per_out : (group + 1) * per_out]
-                backend.gemm(matrix, cols, out=target)
-                target += bias
-        if self.relu:
-            backend.relu_inplace(out2d)
-        return out
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
         layer = self.layer
-        backend = self.backend
-        count = xs.shape[0]
         filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        if layer.groups == 1:
-            matrix, bias = self.operands[0]
-            cols = backend.im2col_batch(xs, layer.kernel, layer.stride, layer.pad)
-            out = backend.gemm(matrix, cols)  # (N, F, P) via broadcast
-            out += bias
-        else:
-            per_in = xs.shape[1] // layer.groups
-            per_out = filters // layer.groups
-            out = np.empty((count, filters, positions), dtype=np.float32)
-            for group, (matrix, bias) in enumerate(self.operands):
-                cols = backend.im2col_batch(
-                    xs[:, group * per_in : (group + 1) * per_in],
-                    layer.kernel, layer.stride, layer.pad,
-                )
-                target = out[:, group * per_out : (group + 1) * per_out]
-                backend.gemm(matrix, cols, out=target)
-                target += bias
+        out3d = out.reshape(xs.shape[0], filters, out_h * out_w)
+        per_in = xs.shape[1] // layer.groups
+        per_out = filters // layer.groups
+        for group, (matrix, bias) in enumerate(self.operands):
+            cols = self.backend.im2col_batch(
+                xs[:, group * per_in : (group + 1) * per_in],
+                layer.kernel, layer.stride, layer.pad,
+            )
+            target = out3d[:, group * per_out : (group + 1) * per_out]
+            self._gemm(matrix, cols, target)
+            target += bias
         if self.relu:
-            backend.relu_inplace(out)
-        return out.reshape((count,) + self.out_shape)
+            self.backend.relu_inplace(out3d)
+        return out
 
 
 class FCStep(PlanStep):
-    """Dense matmul with optional fused ReLU."""
+    """Dense matmul with optional fused ReLU (``weight @ x[n]`` per sample)."""
 
     kind = "fc"
     arena = True
@@ -264,30 +231,20 @@ class FCStep(PlanStep):
         self.layer = layer
         self.relu = relu
 
+    def _gemm(self, columns: np.ndarray, out: np.ndarray) -> None:
+        self.backend.gemm(self.layer.params["weight"], columns, out=out)
+
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        backend = self.backend
-        flat = inputs[0].reshape(-1)
-        if out is not None:
-            backend.gemm(self.layer.params["weight"], flat, out=out)
-            out += self.layer.params["bias"]
-            result = out
-        else:
-            result = backend.gemm(self.layer.params["weight"], flat)
-            result = result + self.layer.params["bias"]
+        (xs,) = inputs
+        out2d = out.reshape(xs.shape[0], -1)
+        # (N, K, 1) columns: one matrix-vector product per sample, the
+        # same kernel call a lone sample makes.
+        self._gemm(xs.reshape(xs.shape[0], -1, 1), out2d[:, :, None])
+        out2d += self.layer.params["bias"]
         if self.relu:
-            backend.relu_inplace(result)
-        return result
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        backend = self.backend
-        xs = inputs[0]
-        flat = xs.reshape(xs.shape[0], -1)
-        out = backend.gemm(flat, self.layer.params["weight"].T)
-        out += self.layer.params["bias"]
-        if self.relu:
-            backend.relu_inplace(out)
+            self.backend.relu_inplace(out2d)
         return out
 
 
@@ -309,19 +266,12 @@ class PoolStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.pool(self.layer, inputs[0], out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         (xs,) = inputs
-        layer = self.layer
-        if layer.mode == "max":
-            return self.backend.max_pool_batch(layer, xs)
-        return np.stack(
-            [
-                self.backend.pool(layer, xs[index], None)
-                for index in range(xs.shape[0])
-            ]
-        )
+        if self.layer.mode == "max":
+            return self.backend.max_pool_batch(self.layer, xs, out)
+        for sample, target in zip(xs, out):
+            self.backend.pool(self.layer, sample, target)
+        return out
 
 
 class ReLUStep(PlanStep):
@@ -342,12 +292,7 @@ class ReLUStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        if out is not None:
-            return self.backend.relu(inputs[0], out.reshape(inputs[0].shape))
-        return self.backend.relu(inputs[0])
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.relu(inputs[0])
+        return self.backend.relu(inputs[0], out.reshape(inputs[0].shape))
 
 
 class AffineStep(PlanStep):
@@ -376,17 +321,11 @@ class AffineStep(PlanStep):
             out += self.shift
         return out
 
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        out = inputs[0] * self.scale[None]
-        if self.shift is not None:
-            out += self.shift[None]
-        return out
-
 
 class FallbackStep(PlanStep):
-    """Reference execution for kinds without a rewritten kernel (LRN,
-    softmax, average pooling's summation order, …) — calls the layer's own
-    ``forward``, so the step is bitwise-trivially equivalent."""
+    """Reference execution for kinds without a rewritten kernel (softmax,
+    …) — calls the layer's own ``forward`` per sample, so the step is
+    bitwise-trivially equivalent."""
 
     def __init__(self, name: str, layers: Sequence[Tuple[int, Layer, bool]],
                  layer: Layer):
@@ -397,19 +336,14 @@ class FallbackStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.layer.forward(inputs[0])
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        (xs,) = inputs
-        return np.stack([self.layer.forward(xs[index])
-                         for index in range(xs.shape[0])])
+        return np.stack([self.layer.forward(sample) for sample in inputs[0]])
 
 
 class LRNStep(FallbackStep):
-    """LRN through the backend's dedicated kernel.
+    """LRN through the backend's batch-major kernel.
 
-    The batched math is the per-sample prefix-sum formulation applied
-    along axis 1, so every sample sees the identical accumulation order —
+    The kernel applies the one-sample prefix-sum formulation along the
+    channel axis, so every sample sees the identical accumulation order —
     on the reference backend, bitwise equal to N reference forwards.
     """
 
@@ -417,9 +351,6 @@ class LRNStep(FallbackStep):
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
         return self.backend.lrn(self.layer, inputs[0])
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.lrn_batch(self.layer, inputs[0])
 
 
 class ConcatStep(PlanStep):
@@ -435,10 +366,7 @@ class ConcatStep(PlanStep):
     def run(
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
-        return self.backend.concat(inputs, 0, out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.concat(inputs, 1)
+        return self.backend.concat(inputs, 1, out)
 
 
 class EltwiseAddStep(PlanStep):
@@ -455,9 +383,6 @@ class EltwiseAddStep(PlanStep):
         self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
     ) -> np.ndarray:
         return self.backend.eltwise_sum(inputs, out)
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self.backend.eltwise_sum(inputs)
 
 
 class QuantizedMatrix:
@@ -517,7 +442,7 @@ class QuantizedMatrix:
         return self._row_sums
 
 
-class QuantizedConvStep(PlanStep):
+class QuantizedConvStep(ConvStep):
     """Conv with ``bits``-bit quantized weights through ``quantized_gemm``.
 
     Operands are ``(QuantizedMatrix, float32 bias column)`` per group —
@@ -528,88 +453,15 @@ class QuantizedConvStep(PlanStep):
     """
 
     kind = "qconv"
-    arena = True
 
-    def __init__(
-        self,
-        name: str,
-        layers: Sequence[Tuple[int, Layer, bool]],
-        layer: ConvLayer,
-        operands: Sequence[Tuple[QuantizedMatrix, np.ndarray]],
-        relu: bool,
-    ):
-        super().__init__(name, layers, layer.out_shape)
-        self.layer = layer
-        self.operands = list(operands)
-        self.relu = relu
-
-    def run(
-        self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        (x,) = inputs
-        layer = self.layer
-        backend = self.backend
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        out2d = out.reshape(filters, positions)
-        if layer.groups == 1:
-            qmatrix, bias = self.operands[0]
-            buffer = layer._cols_buffer(x.shape[0], out_h, out_w)
-            cols = backend.im2col(
-                x, layer.kernel, layer.stride, layer.pad, out=buffer
-            )
-            backend.quantized_gemm(qmatrix, cols, out=out2d)
-            out2d += bias
-        else:
-            per_in = x.shape[0] // layer.groups
-            per_out = filters // layer.groups
-            buffer = layer._cols_buffer(per_in, out_h, out_w)
-            for group, (qmatrix, bias) in enumerate(self.operands):
-                x_slice = x[group * per_in : (group + 1) * per_in]
-                cols = backend.im2col(
-                    x_slice, layer.kernel, layer.stride, layer.pad, out=buffer
-                )
-                target = out2d[group * per_out : (group + 1) * per_out]
-                backend.quantized_gemm(qmatrix, cols, out=target)
-                target += bias
-        if self.relu:
-            backend.relu_inplace(out2d)
-        return out
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        (xs,) = inputs
-        layer = self.layer
-        backend = self.backend
-        count = xs.shape[0]
-        filters, out_h, out_w = self.out_shape
-        positions = out_h * out_w
-        if layer.groups == 1:
-            qmatrix, bias = self.operands[0]
-            cols = backend.im2col_batch(xs, layer.kernel, layer.stride, layer.pad)
-            out = backend.quantized_gemm(qmatrix, cols)
-            out += bias
-        else:
-            per_in = xs.shape[1] // layer.groups
-            per_out = filters // layer.groups
-            out = np.empty((count, filters, positions), dtype=np.float32)
-            for group, (qmatrix, bias) in enumerate(self.operands):
-                cols = backend.im2col_batch(
-                    xs[:, group * per_in : (group + 1) * per_in],
-                    layer.kernel, layer.stride, layer.pad,
-                )
-                target = out[:, group * per_out : (group + 1) * per_out]
-                backend.quantized_gemm(qmatrix, cols, out=target)
-                target += bias
-        if self.relu:
-            backend.relu_inplace(out)
-        return out.reshape((count,) + self.out_shape)
+    def _gemm(self, qmatrix, cols: np.ndarray, out: np.ndarray) -> None:
+        self.backend.quantized_gemm(qmatrix, cols, out=out)
 
 
-class QuantizedFCStep(PlanStep):
+class QuantizedFCStep(FCStep):
     """Dense matmul with a ``bits``-bit quantized weight matrix."""
 
     kind = "qfc"
-    arena = True
 
     def __init__(
         self,
@@ -619,34 +471,11 @@ class QuantizedFCStep(PlanStep):
         qmatrix: QuantizedMatrix,
         relu: bool,
     ):
-        super().__init__(name, layers, layer.out_shape)
-        self.layer = layer
+        super().__init__(name, layers, layer, relu)
         self.qmatrix = qmatrix
-        self.relu = relu
 
-    def run(
-        self, inputs: Sequence[np.ndarray], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        backend = self.backend
-        flat = inputs[0].reshape(-1)
-        result = backend.quantized_gemm(self.qmatrix, flat, out=out)
-        if out is None:
-            result = result + self.layer.params["bias"]
-        else:
-            result += self.layer.params["bias"]
-        if self.relu:
-            backend.relu_inplace(result)
-        return result
-
-    def run_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        backend = self.backend
-        xs = inputs[0]
-        flat = xs.reshape(xs.shape[0], -1)
-        out = backend.gemm(flat, self.qmatrix.dequantized().T)
-        out += self.layer.params["bias"]
-        if self.relu:
-            backend.relu_inplace(out)
-        return out
+    def _gemm(self, columns: np.ndarray, out: np.ndarray) -> None:
+        self.backend.quantized_gemm(self.qmatrix, columns, out=out)
 
 
 class ExecutionPlan:
@@ -750,20 +579,36 @@ class ExecutionPlan:
         return capacities
 
     def _allocate_arena(self, capacities: Sequence[int]) -> None:
-        """Allocate slot buffers and bind each arena step's output view."""
-        self._slots = [
-            np.empty(capacity, dtype=np.float32) for capacity in capacities
-        ]
-        for step in self.steps:
-            if step.arena:
-                step._out_view = self._slots[step.slot][
-                    : step.out_elements
-                ].reshape(step.out_shape)
-        self.stats.arena_slots = len(self._slots)
+        """Record per-sample slot capacities; slots are sized on first use."""
+        self._capacities = list(capacities)
+        self._rows = 0
+        self._slots: List[np.ndarray] = []
+        self.stats.arena_slots = len(capacities)
         self.stats.arena_bytes = 4 * sum(capacities)
         self.stats.reuse_bytes_per_forward = sum(
             step.out_elements * 4 for step in self.steps if step.arena
         )
+
+    def _arena_views(self, rows: int) -> List[Optional[np.ndarray]]:
+        """Per-step ``(rows,) + out_shape`` output views (None off-arena).
+
+        Slots only grow: a batch larger than any before reallocates every
+        slot to ``rows`` times its per-sample capacity.
+        """
+        if rows > self._rows:
+            self._rows = rows
+            self._slots = [
+                np.empty(rows * capacity, dtype=np.float32)
+                for capacity in self._capacities
+            ]
+        return [
+            self._slots[step.slot][: rows * step.out_elements].reshape(
+                (rows,) + step.out_shape
+            )
+            if step.arena
+            else None
+            for step in self.steps
+        ]
 
     # -- validity --------------------------------------------------------------
     def is_valid(self) -> bool:
@@ -779,116 +624,127 @@ class ExecutionPlan:
         )
 
     # -- execution -------------------------------------------------------------
-    def _check_input(self, value: np.ndarray) -> None:
-        if tuple(value.shape) != self.input_shape:
-            raise ValueError(
-                f"plan {self.name!r} expects input shape {self.input_shape}, "
-                f"got {tuple(value.shape)}"
-            )
-
-    def _execute(self, value: np.ndarray) -> np.ndarray:
-        """Run the schedule; the result may live in this plan's arena."""
-        values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
-        values[0] = value
-        for step in self.steps:
-            inputs = [values[value_id] for value_id in step.inputs]
-            values[step.output] = step.run(
-                inputs, step._out_view if step.arena else None
-            )
-        return values[self.steps[-1].output] if self.steps else value
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """One sample through the compiled steps; caller owns the result."""
-        value = np.asarray(x, dtype=np.float32)
-        self._check_input(value)
-        result = self._execute(value)
-        self.forwards += 1
-        self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
-        if self._value_in_arena(result):
-            result = result.copy()
-        return result
-
-    def forward_traced(
-        self, x: np.ndarray
-    ) -> Tuple[np.ndarray, List[Dict[str, object]]]:
-        """Like :meth:`forward` but records, per step, whether the step's
-        output buffer aliases any of its inputs (``output_aliases_input``)
-        or any *other* value still live (``output_clobbers_live``) — the
-        arena-safety invariants the tests assert (both must always be
-        False)."""
-        value = np.asarray(x, dtype=np.float32)
-        self._check_input(value)
-        values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
-        values[0] = value
-        trace: List[Dict[str, object]] = []
-        for position, step in enumerate(self.steps):
-            inputs = [values[value_id] for value_id in step.inputs]
-            aliases = False
-            clobbers = False
-            if step.arena:
-                out = step._out_view
-                aliases = any(
-                    np.shares_memory(argument, out) for argument in inputs
-                )
-                live = [
-                    values[value_id]
-                    for value_id in range(len(values))
-                    if values[value_id] is not None
-                    and self._last_use[value_id] >= position
-                    and value_id not in step.inputs
-                ]
-                clobbers = any(
-                    np.shares_memory(other, out) for other in live
-                )
-                values[step.output] = step.run(inputs, out)
-            else:
-                values[step.output] = step.run(inputs, None)
-            trace.append(
-                {
-                    "step": step.name,
-                    "kind": step.kind,
-                    "arena": step.arena,
-                    "slot": step.slot,
-                    "output_aliases_input": aliases,
-                    "output_clobbers_live": clobbers,
-                }
-            )
-        result = values[self.steps[-1].output] if self.steps else value
-        if self._value_in_arena(result):
-            result = result.copy()
-        return result, trace
-
-    def _value_in_arena(self, value: np.ndarray) -> bool:
-        return any(np.shares_memory(value, slot) for slot in self._slots)
-
-    def forward_batch(self, xs) -> np.ndarray:
-        """Run N inputs through one stacked kernel per step.
-
-        ``xs`` is a sequence of per-sample arrays (or an ``(N, ...)``
-        array); returns the stacked ``(N, ...)`` outputs.  Matches N calls
-        of :meth:`forward` within float32 GEMM reassociation (1e-6).
-        """
+    def _batch_of(self, xs) -> np.ndarray:
+        """``xs`` as a float32 ``(N,) + input_shape`` batch (a lone sample
+        becomes N=1)."""
         value = np.asarray(xs, dtype=np.float32)
         if value.ndim == len(self.input_shape):
             value = value[None]
         if tuple(value.shape[1:]) != self.input_shape:
             raise ValueError(
-                f"plan {self.name!r} expects batch shape (N,) + "
-                f"{self.input_shape}, got {tuple(value.shape)}"
+                f"plan {self.name!r} expects input shape {self.input_shape} "
+                f"or (N,) + {self.input_shape}, got {tuple(value.shape)}"
             )
-        result = self._execute_batch(value)
-        self.batch_forwards += 1
-        self.batch_sizes.append(int(value.shape[0]))
-        return result
+        return value
 
-    def _execute_batch(self, value: np.ndarray) -> np.ndarray:
+    def _run(
+        self,
+        value: np.ndarray,
+        trace: Optional[List[Dict[str, object]]] = None,
+    ) -> np.ndarray:
+        """Run the schedule over an ``(N, ...)`` batch; caller owns the
+        result.
+
+        Each value is dropped after its last reader, so non-arena values
+        never outlive their use.  With ``trace`` a list, each step appends
+        whether its output buffer aliases any of its inputs
+        (``output_aliases_input``) or any *other* value still live
+        (``output_clobbers_live``) — the arena-safety invariants the tests
+        assert (both must always be False).
+        """
+        views = self._arena_views(value.shape[0])
+        last_use = self._last_use
         values: List[Optional[np.ndarray]] = [None] * (len(self.steps) + 1)
         values[0] = value
-        for step in self.steps:
-            values[step.output] = step.run_batch(
-                [values[value_id] for value_id in step.inputs]
+        for position, step in enumerate(self.steps):
+            inputs = [values[value_id] for value_id in step.inputs]
+            out = views[position]
+            if trace is not None:
+                trace.append(
+                    self._trace_record(position, step, values, inputs, out)
+                )
+            values[step.output] = step.run(inputs, out)
+            for value_id in step.inputs:
+                if last_use[value_id] == position:
+                    values[value_id] = None
+        result = values[self.steps[-1].output] if self.steps else value
+        if self._value_in_arena(result):
+            result = result.copy()
+        return result
+
+    def _trace_record(
+        self,
+        position: int,
+        step: PlanStep,
+        values: Sequence[Optional[np.ndarray]],
+        inputs: Sequence[np.ndarray],
+        out: Optional[np.ndarray],
+    ) -> Dict[str, object]:
+        aliases = clobbers = False
+        if out is not None:
+            aliases = any(
+                np.shares_memory(argument, out) for argument in inputs
             )
-        return values[self.steps[-1].output] if self.steps else value
+            clobbers = any(
+                np.shares_memory(values[value_id], out)
+                for value_id in range(len(values))
+                if values[value_id] is not None
+                and self._last_use[value_id] >= position
+                and value_id not in step.inputs
+            )
+        return {
+            "step": step.name,
+            "kind": step.kind,
+            "arena": step.arena,
+            "slot": step.slot,
+            "output_aliases_input": aliases,
+            "output_clobbers_live": clobbers,
+        }
+
+    def _value_in_arena(self, value: np.ndarray) -> bool:
+        return any(np.shares_memory(value, slot) for slot in self._slots)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """One sample through the compiled steps (a batch of one); caller
+        owns the result."""
+        value = np.asarray(x, dtype=np.float32)
+        if tuple(value.shape) != self.input_shape:
+            raise ValueError(
+                f"plan {self.name!r} expects input shape {self.input_shape}, "
+                f"got {tuple(value.shape)}"
+            )
+        result = self._run(value[None])[0]
+        self.forwards += 1
+        self.arena_bytes_reused += self.stats.reuse_bytes_per_forward
+        return result
+
+    def forward_traced(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, List[Dict[str, object]]]:
+        """Like :meth:`forward` (one sample) or :meth:`forward_batch` (an
+        ``(N, ...)`` batch), plus the per-step arena-safety trace described
+        in :meth:`_run`."""
+        single = np.ndim(x) == len(self.input_shape)
+        trace: List[Dict[str, object]] = []
+        result = self._run(self._batch_of(x), trace)
+        return (result[0] if single else result), trace
+
+    def forward_batch(self, xs) -> np.ndarray:
+        """Run N inputs through the same schedule as :meth:`forward`.
+
+        ``xs`` is a sequence of per-sample arrays (or an ``(N, ...)``
+        array); returns the stacked ``(N, ...)`` outputs.  Row ``n`` is
+        bitwise ``forward(xs[n])`` when N=1; for N>1 rows match N calls of
+        :meth:`forward` within float32 GEMM reassociation (1e-6).
+        """
+        value = self._batch_of(xs)
+        result = self._run(value)
+        self.batch_forwards += 1
+        self.arena_bytes_reused += (
+            self.stats.reuse_bytes_per_forward * value.shape[0]
+        )
+        self.batch_sizes.append(int(value.shape[0]))
+        return result
 
     # -- reporting -------------------------------------------------------------
     def summary(self) -> Dict[str, object]:

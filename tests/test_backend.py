@@ -37,6 +37,7 @@ from repro.nn.backend import (
     get_backend,
     set_backend,
 )
+from repro.nn.plan import compile_plan
 from repro.nn.quantize import packed_feature_bytes
 from repro.nn.zoo import build_model
 from repro.obs import MetricsRegistry
@@ -173,6 +174,18 @@ class TestTunedTolerance:
         tuned._threaded_gemm(rng.normal_array((256, 64)), b, None)
         assert np.array_equal(first, snapshot)
 
+    def test_threading_reaches_batched_conv(self, monkeypatch):
+        """Batch-major conv GEMMs still fan out across the thread pool."""
+        tuned = get_backend("tuned")
+        monkeypatch.setattr(tuned, "threads", 2)
+        model = build_model("alexnet")
+        plan = compile_plan(model.network, backend="tuned")
+        x = model_input(model)
+        for run, arg in ((plan.forward, x), (plan.forward_batch, [x, x])):
+            before = tuned.calls.get("gemm_threaded", 0)
+            run(arg)
+            assert tuned.calls.get("gemm_threaded", 0) > before
+
     def test_kernel_calls_counted(self):
         set_backend("tuned")
         tuned = get_backend("tuned")
@@ -272,6 +285,32 @@ class TestQuantizedPlans:
         model = build_model("smallnet")
         model.network.plan_for(quantize_bits=8).forward(model_input(model))
         assert tuned.calls.get("quantized_gemm_int", 0) > before
+
+    def test_batched_int8_reaches_integer_gemm(self):
+        """A batch of N makes one forward's ``quantized_gemm`` calls (at
+        least one per quantized step) and N times its integer GEMMs:
+        batched serving neither bypasses the kernel nor loses the integer
+        path."""
+        tuned = get_backend("tuned")
+        model = build_model("alexnet")
+        plan = compile_plan(model.network, backend="tuned", quantize_bits=8)
+        xs = [model_input(model, seed) for seed in range(3)]
+
+        def deltas(run):
+            before = dict(tuned.calls)
+            run()
+            return tuple(
+                tuned.calls.get(op, 0) - before.get(op, 0)
+                for op in ("quantized_gemm", "quantized_gemm_int")
+            )
+
+        single, single_int = deltas(lambda: plan.forward(xs[0]))
+        assert single >= plan.stats.quantized > 0 and single_int > 0
+        for rows in (1, 3):
+            assert deltas(lambda: plan.forward_batch(xs[:rows])) == (
+                single,
+                rows * single_int,
+            )
 
     def test_quantized_steps_metric(self):
         model = build_model("smallnet")

@@ -485,7 +485,10 @@ class TestPerChannelQuantization:
             quantize_linear(x, 8).dequantize().reshape(x.shape)
         )
         identity = qmatrix.dequantized() @ dequantized_x
-        result = get_backend("tuned").quantized_gemm(qmatrix, x)
+        # Kernels are batch-major: one sample of (K, P) columns.
+        result = get_backend("tuned").quantized_gemm(
+            qmatrix, x.reshape(1, 32, -1)
+        ).reshape(identity.shape)
         scale = float(np.abs(identity).max()) or 1.0
         assert np.abs(result - identity).max() / scale < 1e-5
 

@@ -21,6 +21,12 @@ FOLD_TOLERANCE = dict(rtol=1e-5, atol=1e-6)
 BATCH_TOLERANCE = dict(rtol=1e-4, atol=1e-5)
 
 
+#: models of the N-invariance matrix (branch/join, grouped conv, exits)
+N_INVARIANCE_MODELS = [
+    "smallnet", "tinynet", "alexnet", "resnet-mini", "smallnet_exits",
+]
+
+
 def model_input(model, seed=7):
     return SeededRng(seed, f"plan/{model.name}").uniform_array(
         tuple(model.network.input_shape), 0, 255
@@ -30,6 +36,19 @@ def model_input(model, seed=7):
 @pytest.fixture(scope="module")
 def small():
     return smallnet()
+
+
+@pytest.fixture(scope="module")
+def zoo():
+    """Builds each zoo model once per module, shared across cells."""
+    models = {}
+
+    def get(name):
+        if name not in models:
+            models[name] = build_model(name)
+        return models[name]
+
+    return get
 
 
 # -- numerical equivalence ------------------------------------------------------
@@ -123,12 +142,47 @@ class TestArenaSafety:
         ]
         assert offenders == []
 
+    @pytest.mark.parametrize("name", ["smallnet", "alexnet", "resnet-mini"])
+    def test_batch_trace_is_clean(self, name):
+        model = build_model(name)
+        plan = model.network.plan_for()
+        xs = np.stack([model_input(model, seed) for seed in range(3)])
+        value, trace = plan.forward_traced(xs)
+        assert value.shape == (3,) + plan.output_shape
+        assert np.array_equal(value, plan.forward_batch(xs))
+        offenders = [
+            record["step"]
+            for record in trace
+            if record["output_aliases_input"] or record["output_clobbers_live"]
+        ]
+        assert offenders == []
+
     def test_result_never_aliases_arena(self, small):
-        plan = small.network.plan_for()
-        x = model_input(small)
-        first = plan.forward(x).copy()
-        plan.forward(np.zeros_like(x))
-        assert np.array_equal(plan.forward(x), first)
+        """Single forwards and batches (N=1 and N=3, which grows the
+        slots) both hand back results the next call cannot clobber."""
+        net = small.network
+        # A front range ending at a pool: its result is an arena value.
+        pool = next(
+            i for i, layer in enumerate(net.layers) if layer.kind == "pool"
+        )
+        plan = net.plan_for(0, pool)
+        assert plan.steps[-1].arena
+        batches = [
+            np.stack([model_input(small, seed) for seed in range(rows)])
+            for rows in (1, 3)
+        ]
+        cases = [(plan.forward, batches[0][0])] + [
+            (plan.forward_batch, xs) for xs in batches
+        ]
+        for call, xs in cases:
+            first = call(xs)
+            snapshot = first.copy()
+            call(np.zeros_like(xs))
+            assert np.array_equal(first, snapshot)
+            assert not any(
+                np.shares_memory(first, slot) for slot in plan._slots
+            )
+            assert np.array_equal(call(xs), snapshot)
 
 
 # -- batched forward ------------------------------------------------------------
@@ -143,6 +197,34 @@ class TestBatchedForward:
         batched = model.inference_batch(xs)
         assert batched.shape == looped.shape
         np.testing.assert_allclose(batched, looped, **BATCH_TOLERANCE)
+
+    @pytest.mark.parametrize("bits", [None, 8], ids=["float", "int8"])
+    @pytest.mark.parametrize("backend", ["reference", "tuned"])
+    @pytest.mark.parametrize("name", N_INVARIANCE_MODELS)
+    def test_batch_is_n_invariant(self, zoo, name, backend, bits):
+        """A single sample is a batch of one, bit for bit; a batch of three
+        matches three singles within the batch tolerance — on every
+        backend, float and int8, whole network and rear half of a split."""
+        model = zoo(name)
+        net = model.network
+        points = net.offload_points()
+        mid = points[len(points) // 2].index
+        for start in (0, mid + 1):
+            plan = compile_plan(
+                net, start, backend=backend, quantize_bits=bits
+            )
+            xs = [
+                net.reference_forward(model_input(model, seed), 0, start - 1)
+                if start else model_input(model, seed)
+                for seed in range(3)
+            ]
+            single = plan.forward(xs[0])
+            assert np.array_equal(plan.forward_batch(xs[0][None])[0], single)
+            looped = np.stack([single] + [plan.forward(x) for x in xs[1:]])
+            np.testing.assert_allclose(
+                plan.forward_batch(xs), looped, **BATCH_TOLERANCE
+            )
+            del plan  # one plan's quantized operands alive at a time
 
     def test_single_sample_is_auto_batched(self, small):
         x = model_input(small)
